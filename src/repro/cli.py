@@ -6,7 +6,7 @@ The flow as a tool::
     python -m repro explore kernel:fir kernel:mm --parallel --jobs 2
     python -m repro compile kernel:mm --unroll 4,2,1 --print-code
     python -m repro estimate kernel:fir --unroll 8,8 --board nonpipelined
-    python -m repro batch manifest.json --jobs 4 --cache estimates.json \\
+    python -m repro batch manifest.json --jobs 4 --memo-dir memo \\
         --trace trace.jsonl
     python -m repro batch manifest.json --run-dir runs/exp1
     python -m repro trace runs/exp1 --metrics-json metrics.json
@@ -112,6 +112,28 @@ def _add_common(parser: argparse.ArgumentParser, multi: bool = False) -> None:
                         help="drop register banks beyond this many registers")
 
 
+def _add_memo_dir(parser: argparse.ArgumentParser, help_text: str) -> None:
+    """``--memo-dir DIR``, also spelled ``--cache``: the memo journal is
+    the one persistent estimate store."""
+    parser.add_argument("--memo-dir", "--cache", dest="memo_dir",
+                        metavar="DIR", default=None, help=help_text)
+
+
+def _memo_dir(args) -> Optional[Path]:
+    """The ``--memo-dir`` directory, refusing an existing regular file
+    (such as a legacy JSON estimate file): journal writes there would
+    fail and persistence would be silently lost."""
+    if args.memo_dir is None:
+        return None
+    path = Path(args.memo_dir)
+    if path.is_file():
+        raise ReproError(
+            f"--memo-dir {path} is a file; the memo journal needs a "
+            f"directory (--cache is an alias of --memo-dir)"
+        )
+    return path
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro.version import get_version
     parser = argparse.ArgumentParser(
@@ -132,8 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore_cmd.add_argument("--jobs", type=int, default=2, metavar="N",
                              help="worker processes with --parallel "
                                   "(default 2)")
-    explore_cmd.add_argument("--cache", metavar="PATH",
-                             help="shared estimate cache file")
     explore_cmd.add_argument("--trace", metavar="FILE",
                              help="write JSONL telemetry here "
                                   "(--parallel only)")
@@ -173,10 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="memoize analysis/schedule/estimate work "
                                   "across neighboring design points "
                                   "(bit-identical selections, default on)")
-    explore_cmd.add_argument("--memo-dir", metavar="DIR", default=None,
-                             help="persist the incremental memo journal "
-                                  "here; a later run pointed at the same "
-                                  "directory starts warm")
+    _add_memo_dir(explore_cmd, "persist the incremental memo journal "
+                               "(the estimate store) here; a later run "
+                               "pointed at the same directory starts warm")
 
     compile_cmd = commands.add_parser(
         "compile", help="apply the transformation pipeline at a fixed unroll"
@@ -213,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="JSON job manifest (omit with --resume)")
     batch_cmd.add_argument("--jobs", type=int, default=1, metavar="N",
                            help="worker processes (1 = serial in-process)")
-    batch_cmd.add_argument("--cache", metavar="PATH",
-                           help="shared estimate cache file")
     batch_cmd.add_argument("--trace", metavar="FILE",
                            help="write JSONL telemetry events here")
     batch_cmd.add_argument("--timeout", type=float, default=None, metavar="S",
@@ -222,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "override; needs --jobs >= 2)")
     batch_cmd.add_argument("--run-dir", metavar="DIR", default=None,
                            help="journal the run here (ledger + manifest "
-                                "snapshot; cache and trace default inside); "
+                                "snapshot; memo and trace default inside); "
                                 "makes the run resumable after a crash")
     batch_cmd.add_argument("--resume", metavar="DIR", default=None,
                            help="resume a journaled run directory: adopt "
@@ -232,10 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="S",
                            help="per-estimator-call deadline in seconds "
                                 "(jobs may override via call_deadline_s)")
-    batch_cmd.add_argument("--cache-max-entries", type=int, default=None,
-                           metavar="N",
-                           help="bound the estimate cache to N entries "
-                                "(LRU eviction)")
     batch_cmd.add_argument("--fault-spec", metavar="FILE", default=None,
                            help="fault-injection spec for chaos testing "
                                 "(see repro.faults)")
@@ -245,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "across design points and jobs (default on; "
                                 "with --run-dir the memo journal persists "
                                 "under <run-dir>/memo)")
-    batch_cmd.add_argument("--memo-dir", metavar="DIR", default=None,
-                           help="persist the incremental memo journal here "
-                                "(overrides the <run-dir>/memo default)")
+    _add_memo_dir(batch_cmd, "persist the incremental memo journal (the "
+                             "estimate store) here (overrides the "
+                             "<run-dir>/memo default)")
     batch_cmd.add_argument("--json", metavar="FILE",
                            help="write a machine-readable batch summary here")
 
@@ -289,21 +302,15 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="N",
                            help="admission limit: queued jobs beyond this "
                                 "bounce with HTTP 429 (default 64)")
-    serve_cmd.add_argument("--cache", metavar="PATH",
-                           help="shared estimate cache file (default: "
-                                "estimates.json inside --state-dir)")
-    serve_cmd.add_argument("--no-cache", action="store_true",
-                           help="run workers without a shared cache")
+    _add_memo_dir(serve_cmd, "the incremental memo journal (the estimate "
+                             "store) every job shares (default: "
+                             "<state-dir>/memo)")
     serve_cmd.add_argument("--timeout", type=float, default=None, metavar="S",
                            help="default per-job timeout in seconds "
                                 "(jobs may override)")
     serve_cmd.add_argument("--call-deadline", type=float, default=None,
                            metavar="S",
                            help="per-estimator-call deadline in seconds")
-    serve_cmd.add_argument("--cache-max-entries", type=int, default=None,
-                           metavar="N",
-                           help="bound the estimate cache to N entries "
-                                "(LRU eviction)")
     serve_cmd.add_argument("--fault-spec", metavar="FILE", default=None,
                            help="fault-injection spec for chaos testing "
                                 "(see repro.faults)")
@@ -331,8 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--incremental", default=True,
                            action=argparse.BooleanOptionalAction,
                            help="hand jobs the incremental-evaluation "
-                                "switch; the memo journal persists under "
-                                "<state-dir>/memo (default on)")
+                                "switch (default on)")
 
     worker_cmd = commands.add_parser(
         "worker", help="attach a fleet worker to a coordinator "
@@ -348,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker_cmd.add_argument("--poll", type=float, default=0.5, metavar="S",
                             help="claim poll interval when idle "
                                  "(default 0.5)")
-    worker_cmd.add_argument("--cache", metavar="PATH", default=None,
-                            help="shared estimate cache file")
     worker_cmd.add_argument("--fault-spec", metavar="FILE", default=None,
                             help="fault-injection spec (heartbeat / "
                                  "worker_kill sites)")
@@ -359,10 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     worker_cmd.add_argument("--idle-exit", type=float, default=None,
                             metavar="S",
                             help="exit after S seconds with no work")
-    worker_cmd.add_argument("--memo-dir", metavar="DIR", default=None,
-                            help="worker-local incremental memo journal "
-                                 "directory (overrides the coordinator's, "
-                                 "which is machine-local)")
+    _add_memo_dir(worker_cmd, "worker-local incremental memo journal "
+                              "directory (overrides the coordinator's, "
+                              "which is machine-local)")
 
     submit_cmd = commands.add_parser(
         "submit", help="submit one exploration job to a running server"
@@ -569,7 +572,7 @@ def _run_explore(args, program, kernel, board, options) -> int:
         search=search_options, pipeline=options, obs=obs,
         backend=args.backend, fidelity=args.fidelity,
         incremental=args.incremental,
-        memo_dir=Path(args.memo_dir) if args.memo_dir else None,
+        memo_dir=_memo_dir(args),
     ))
     print(result.report())
     if result.memo_stats is not None:
@@ -663,10 +666,10 @@ def _run_explore_parallel(args) -> int:
         "defaults": defaults,
         "jobs": [{"program": spec} for spec in args.program],
     }, source="<explore --parallel>", base_dir=Path.cwd())
-    return _drive_batch(manifest, args.jobs, args.cache, args.trace,
+    return _drive_batch(manifest, args.jobs, args.trace,
                         timeout=None, json_path=None,
                         incremental=args.incremental,
-                        memo_dir=args.memo_dir)
+                        memo_dir=_memo_dir(args))
 
 
 def _run_batch(args) -> int:
@@ -684,34 +687,30 @@ def _run_batch(args) -> int:
             raise ReproError("a manifest is required (or use --resume DIR)")
         manifest = load_manifest(Path(args.manifest))
     return _drive_batch(
-        manifest, args.jobs, args.cache, args.trace,
+        manifest, args.jobs, args.trace,
         timeout=args.timeout, json_path=args.json,
         run_dir=args.resume or args.run_dir, resume=bool(args.resume),
-        call_deadline=args.call_deadline,
-        cache_max_entries=args.cache_max_entries, fault_spec=args.fault_spec,
-        incremental=args.incremental, memo_dir=args.memo_dir,
+        call_deadline=args.call_deadline, fault_spec=args.fault_spec,
+        incremental=args.incremental, memo_dir=_memo_dir(args),
     )
 
 
-def _drive_batch(manifest, jobs, cache, trace, timeout, json_path,
+def _drive_batch(manifest, jobs, trace, timeout, json_path,
                  run_dir=None, resume=False, call_deadline=None,
-                 cache_max_entries=None, fault_spec=None,
-                 incremental=True, memo_dir=None) -> int:
+                 fault_spec=None, incremental=True, memo_dir=None) -> int:
     from repro.report import batch_summary_table
     from repro.service import run_batch
     result = run_batch(
         manifest,
         workers=jobs,
-        cache_path=Path(cache) if cache else None,
         trace_path=Path(trace) if trace else None,
         default_timeout_s=timeout,
         run_dir=Path(run_dir) if run_dir else None,
         resume=resume,
         call_deadline_s=call_deadline,
-        cache_max_entries=cache_max_entries,
         fault_spec=fault_spec,
         incremental=incremental,
-        memo_dir=Path(memo_dir) if memo_dir else None,
+        memo_dir=memo_dir,
     )
     print(result.report())
     print()
@@ -776,14 +775,7 @@ def _run_serve(args) -> int:
     """``repro serve``: run the exploration server until SIGTERM."""
     from repro.server import ExplorationServer
     state_dir = Path(args.state_dir)
-    if args.no_cache and args.cache:
-        raise ReproError("--no-cache and --cache are mutually exclusive")
-    if args.no_cache:
-        cache_path = None
-    elif args.cache:
-        cache_path = Path(args.cache)
-    else:
-        cache_path = state_dir / "estimates.json"
+    memo_dir = _memo_dir(args)
     tenant_policies = None
     if args.tenant_quota:
         from repro.server import parse_tenant_policy
@@ -803,10 +795,8 @@ def _run_serve(args) -> int:
         max_concurrency=args.max_concurrency,
         queue_limit=(args.queue_limit if args.queue_limit is not None
                      else 64),
-        cache_path=cache_path,
         default_timeout_s=args.timeout,
         call_deadline_s=args.call_deadline,
-        cache_max_entries=args.cache_max_entries,
         fault_spec=args.fault_spec,
         fleet=args.fleet,
         lease_ttl_s=(args.lease_ttl if args.lease_ttl is not None
@@ -815,6 +805,7 @@ def _run_serve(args) -> int:
         tenant_policies=tenant_policies,
         journal_segment_bytes=args.journal_segment_bytes,
         incremental=args.incremental,
+        memo_dir=memo_dir,
     )
     return server.serve(
         port_file=Path(args.port_file) if args.port_file else None
@@ -827,15 +818,15 @@ def _run_worker(args) -> int:
     import socket
     from repro.server import FleetWorker, WorkerOptions
     worker_id = args.worker_id or f"{socket.gethostname()}-{os.getpid()}"
+    memo_dir = _memo_dir(args)
     worker = FleetWorker(WorkerOptions(
         server=args.server,
         worker_id=worker_id,
         poll_s=max(0.05, args.poll),
-        cache_path=args.cache,
         fault_spec=args.fault_spec,
         max_shards=args.max_shards,
         idle_exit_s=args.idle_exit,
-        memo_dir=args.memo_dir,
+        memo_dir=str(memo_dir) if memo_dir else None,
     ))
     print(f"worker {worker_id} attached to {args.server}", file=sys.stderr)
     done = worker.run()

@@ -23,7 +23,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.dse.failures import POINT_FAILURES, PointDiagnostic, is_point_failure
 from repro.incremental.delta import delta_for
 from repro.incremental.hashing import context_fingerprint, point_key, program_hash
-from repro.incremental.memo import current_memo
+from repro.incremental.memo import current_memo, decode_estimate, encode_estimate
 from repro.obs import current_registry, current_tracer
 from repro.ir.nest import LoopNest
 from repro.ir.symbols import Program
@@ -98,7 +98,7 @@ class DesignSpace:
         options: Optional[PipelineOptions] = None,
         library: Optional[OperatorLibrary] = None,
         pinned_depths: Optional[Tuple[int, ...]] = None,
-        estimate_cache: Optional["EstimateCache"] = None,
+        guard=None,
         backend=None,
     ):
         from repro.estimate.backends import get_backend
@@ -109,9 +109,9 @@ class DesignSpace:
         self.nest = LoopNest(program)
         #: depths forced to factor 1 (loops that add no memory parallelism).
         self.pinned_depths = tuple(pinned_depths or ())
-        #: optional persistent cache (repro.synthesis.EstimateCache); the
-        #: in-memory memoization below always applies on top.
-        self.estimate_cache = estimate_cache
+        #: optional :class:`repro.service.guard.EstimationGuard` wrapping
+        #: every backend call (deadline, retries, output validation).
+        self.guard = guard
         #: which estimation model answers (repro.estimate.EstimatorBackend);
         #: ``None`` resolves to the analytic default.
         self.backend = get_backend(backend)
@@ -121,8 +121,8 @@ class DesignSpace:
         #: recover, and re-raising a deterministic error is cheap); a
         #: point that later succeeds drops its stale diagnostic.
         self._infeasible: Dict[Tuple[int, ...], PointDiagnostic] = {}
-        #: lazy context fingerprint for incremental point-memo keys.
-        self._memo_context: Optional[str] = None
+        #: lazy context fingerprints for point-memo keys, per backend id.
+        self._memo_contexts: Dict[str, str] = {}
 
     # -- evaluation ----------------------------------------------------------
 
@@ -186,12 +186,9 @@ class DesignSpace:
             span.set_attribute("incremental", "off")
             design, estimate = self._compute(unroll)
             return DesignEvaluation(unroll, design, estimate)
-        pkey = point_key(
-            program_hash(self.program), unroll.factors, self._context()
-        )
+        pkey = self._point_key(unroll, self.backend)
         with memo.begin_point() as stats:
-            entry = memo.point_get(pkey)
-            estimate = self._decode_point(memo, entry)
+            estimate = self._decode_point(memo, memo.point_get(pkey))
             if estimate is not None:
                 span.set_attribute("incremental", "hit")
                 evaluation = DesignEvaluation.deferred(
@@ -202,9 +199,8 @@ class DesignSpace:
                     ),
                 )
             else:
-                from repro.synthesis.cache import _encode
                 design, estimate = self._compute(unroll)
-                memo.point_put(pkey, _encode(estimate))
+                memo.point_put(pkey, encode_estimate(estimate))
                 evaluation = DesignEvaluation(unroll, design, estimate)
                 span.set_attribute("incremental", "miss")
                 delta = delta_for(memo)
@@ -221,26 +217,23 @@ class DesignSpace:
         design = compile_design(
             self.program, unroll, self.board.num_memories, self.options
         )
-        if self.estimate_cache is not None:
-            estimate = self.estimate_cache.synthesize(
-                design.program, self.board, design.plan,
-                self.library, backend=self.backend,
-            )
-        else:
-            with current_tracer().span(
-                "estimate.call", backend=self.backend.id
-            ):
-                estimate = self.backend.estimate(
-                    design.program, self.board, design.plan, self.library,
-                )
-        return design, estimate
+        return design, self._call_backend(design, self.backend)
 
-    def _context(self) -> str:
-        if self._memo_context is None:
-            self._memo_context = context_fingerprint(
-                self.board, self.library, self.options, self.backend.id
+    def _call_backend(self, design: CompiledDesign, backend) -> Estimate:
+        """The one place a backend is called, under the guard if set."""
+        args = (design.program, self.board, design.plan, self.library)
+        if self.guard is not None:
+            return self.guard.call(backend.estimate, *args, backend=backend.id)
+        with current_tracer().span("estimate.call", backend=backend.id):
+            return backend.estimate(*args)
+
+    def _point_key(self, unroll: UnrollVector, backend) -> str:
+        context = self._memo_contexts.get(backend.id)
+        if context is None:
+            context = self._memo_contexts[backend.id] = context_fingerprint(
+                self.board, self.library, self.options, backend.id
             )
-        return self._memo_context
+        return point_key(program_hash(self.program), unroll.factors, context)
 
     @staticmethod
     def _decode_point(memo, entry) -> Optional[Estimate]:
@@ -249,9 +242,8 @@ class DesignSpace:
         point re-runs from scratch."""
         if entry is None:
             return None
-        from repro.synthesis.cache import _decode
         try:
-            return _decode(entry)
+            return decode_estimate(entry)
         except (KeyError, TypeError, ValueError):
             memo.invalidate(reason="undecodable")
             return None
@@ -269,25 +261,27 @@ class DesignSpace:
             return None
 
     def reestimate(self, evaluation: DesignEvaluation, backend) -> Estimate:
-        """Re-estimate an already-compiled point on another backend.
+        """Re-estimate an evaluated point on another backend.
 
-        Bypasses the per-point memoization (which is keyed on this
-        space's navigation backend) so a strategy can confirm a design
-        on a higher-fidelity model mid-walk without poisoning the cache.
-        Point failures propagate as the usual typed estimation errors.
+        Bypasses the per-point cache (keyed on this space's navigation
+        backend) but not the memo: the point domain is read and written
+        under the *confirming* backend's context key, so a confirmation
+        is computed once per design and backend, across runs when the
+        memo is journaled.  A memo hit never compiles a deferred design.
+        Point failures propagate as the usual typed estimation errors
+        and are never memoized.
         """
         from repro.estimate.backends import get_backend
         confirmer = get_backend(backend)
-        design = evaluation.design
-        if self.estimate_cache is not None:
-            return self.estimate_cache.synthesize(
-                design.program, self.board, design.plan, self.library,
-                backend=confirmer,
-            )
-        with current_tracer().span("estimate.call", backend=confirmer.id):
-            return confirmer.estimate(
-                design.program, self.board, design.plan, self.library
-            )
+        memo = current_memo()
+        if memo is None:
+            return self._call_backend(evaluation.design, confirmer)
+        pkey = self._point_key(evaluation.unroll, confirmer)
+        estimate = self._decode_point(memo, memo.point_get(pkey))
+        if estimate is None:
+            estimate = self._call_backend(evaluation.design, confirmer)
+            memo.point_put(pkey, encode_estimate(estimate))
+        return estimate
 
     @property
     def points_evaluated(self) -> int:

@@ -321,7 +321,7 @@ class DeadlineExceeded(TransientError):
 
 
 class CacheLockTimeout(ReproError, TimeoutError):
-    """The shared estimate cache's file lock could not be acquired.
+    """A :class:`~repro.durable.lock.FileLock` could not be acquired.
 
     A live-but-hung peer can hold the flock indefinitely; rather than
     blocking the worker forever, acquisition times out with this typed

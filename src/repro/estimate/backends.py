@@ -38,11 +38,14 @@ confirms the selection on a high-fidelity one.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import EstimationError
 from repro.ir.interp import Interpreter, InterpError
+from repro.ir.printer import print_program
 from repro.ir.symbols import Program
 from repro.layout.mapping import map_memories
 from repro.layout.plan import LayoutPlan
@@ -160,11 +163,43 @@ class EstimatorBackend:
         library: Optional[OperatorLibrary] = None,
     ) -> str:
         """Content hash covering the design *and* this backend's id."""
-        from repro.synthesis.cache import EstimateCache
         library = library or default_library(board.clock_ns)
-        return EstimateCache.fingerprint(
-            program, board, plan, library, backend=self.id
-        )
+        return self.fingerprint(program, board, plan, library, backend=self.id)
+
+    @staticmethod
+    def fingerprint(
+        program: Program,
+        board: Board,
+        plan: Optional[LayoutPlan],
+        library: OperatorLibrary,
+        backend: str = "analytic",
+    ) -> str:
+        parts = [
+            print_program(program),
+            board.name, str(board.num_memories), str(board.clock_ns),
+            str(board.memory.read_latency), str(board.memory.write_latency),
+            str(board.memory.pipelined), str(board.fpga.capacity_slices),
+            str(library.clock_ns), str(library.add_slices_per_bit),
+            str(library.add_delay_ns), str(library.mul_delay_ns),
+            str(library.div_delay_ns), str(library.fast_delay_ns),
+            str(library.mul_latency), str(library.mul_area_divisor),
+            str(library.div_latency), str(library.register_bits_per_slice),
+        ]
+        if plan is not None:
+            parts.append(json.dumps(sorted(plan.physical.items())))
+            parts.append(json.dumps(sorted(
+                (name, spec.dim, spec.modulus, list(spec.memories))
+                for name, spec in plan.interleaved.items()
+            )))
+        if backend and backend != "analytic":
+            # Non-default backends get distinct keys so a mixed-backend
+            # run can never serve an analytic hit for an interp request.
+            # The analytic key stays byte-identical to the pre-backend
+            # format: Provenance.cache_key values already journaled in
+            # memo point entries must not change.
+            parts.append(f"backend={backend}")
+        digest = hashlib.sha256("\x1e".join(parts).encode()).hexdigest()
+        return digest
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(id={self.id!r}, fidelity={self.fidelity})"

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.dse.failures import POINT_FAILURES
-from repro.estimate.backends import EstimatorBackend, get_backend
-from repro.obs import current_tracer
+from repro.estimate.backends import get_backend
 from repro.synthesis.estimator import Estimate
 
 
@@ -78,15 +77,13 @@ class ConfirmationResult:
 def confirm_selection(
     selected: Any,
     baseline: Any,
-    board: Any,
+    space: Any,
     backend: Any,
     navigation_backend: Any,
-    *,
-    library: Any = None,
-    estimate_cache: Any = None,
 ) -> ConfirmationResult:
     """Re-estimate ``selected`` (and ``baseline``, when distinct) on the
-    confirmation backend.
+    confirmation backend, through :meth:`~repro.dse.space.DesignSpace.
+    reestimate` on the ``space`` that evaluated them.
 
     ``selected``/``baseline`` are :class:`~repro.dse.space.DesignEvaluation`
     records; ``baseline`` may be ``None`` or the same evaluation as
@@ -102,9 +99,7 @@ def confirm_selection(
         selected=None,
     )
     try:
-        result.selected = _estimate(
-            confirmer, selected.design, board, library, estimate_cache
-        )
+        result.selected = space.reestimate(selected, confirmer)
     except POINT_FAILURES as error:
         result.error = f"selected design: {error}"
         return result
@@ -112,20 +107,8 @@ def confirm_selection(
         return result
     result.navigation_baseline = baseline.estimate
     try:
-        result.baseline = _estimate(
-            confirmer, baseline.design, board, library, estimate_cache
-        )
+        result.baseline = space.reestimate(baseline, confirmer)
     except POINT_FAILURES as error:
         result.error = f"baseline design: {error}"
     return result
 
-
-def _estimate(
-    backend: EstimatorBackend, design, board, library, estimate_cache
-) -> Estimate:
-    if estimate_cache is not None:
-        return estimate_cache.synthesize(
-            design.program, board, design.plan, library, backend=backend
-        )
-    with current_tracer().span("estimate.call", backend=backend.id):
-        return backend.estimate(design.program, board, design.plan, library)

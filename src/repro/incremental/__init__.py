@@ -16,7 +16,8 @@ Layout:
   hit/miss/invalidation counters, and the ambient :func:`use_memo`
   context the pipeline and estimator consult
 * :mod:`~repro.incremental.journal` — the persistent, flock-guarded,
-  CRC-framed cross-run memo journal (``memo.jsonl`` segments)
+  CRC-framed cross-run memo journal (``memo.jsonl`` segments); its
+  ``point`` domain is the system's one persistent estimate store
 * :mod:`~repro.incremental.delta` — structural region deltas between
   neighboring points, for the ``dse.point`` span attributes
 """
@@ -38,20 +39,12 @@ from repro.incremental.memo import (
     encode_schedule,
     use_memo,
 )
-
-#: Journal names re-exported lazily (PEP 562): the journal pulls in the
-#: durable and shared-cache layers, which transitively import the
-#: estimator — and the estimator consults this package.  Deferring the
-#: import keeps ``from repro.incremental.memo import current_memo``
-#: legal from anywhere in the synthesis stack.
-_JOURNAL_NAMES = ("MEMO_EVENT", "MEMO_PREFIX", "MemoJournal", "open_memo")
-
-
-def __getattr__(name: str):
-    if name in _JOURNAL_NAMES:
-        from repro.incremental import journal
-        return getattr(journal, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from repro.incremental.journal import (
+    MEMO_EVENT,
+    MEMO_PREFIX,
+    MemoJournal,
+    open_memo,
+)
 
 __all__ = [
     "MEMO_DOMAINS",

@@ -2,9 +2,9 @@
 
 Every memo domain keys on a SHA-256 over the *complete* set of inputs
 the memoized computation reads — the same discipline
-:meth:`repro.synthesis.cache.EstimateCache.fingerprint` established for
-whole-design estimates, pushed down to the units the incremental layer
-reuses:
+:meth:`repro.estimate.backends.EstimatorBackend.fingerprint` applies to
+whole compiled designs (the ``Provenance.cache_key`` an estimate
+carries), pushed down to the units the incremental layer reuses:
 
 * **Programs** (:func:`program_hash`) — the printed IR.  Printing is
   ~5x cheaper than verifying and ~50x cheaper than scheduling, so a

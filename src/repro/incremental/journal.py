@@ -5,7 +5,9 @@ same space should share what any of them learned.  ``MemoJournal``
 gives the memo store both, on the durability substrate the job store
 and run ledger already trust: CRC-framed segmented JSONL
 (:mod:`repro.durable.journal`, prefix ``memo``), with the ``fsck``
-verbs extended to cover it (``repro fsck`` knows the prefix).
+verbs extended to cover it (``repro fsck`` knows the prefix).  Its
+``point`` domain is the only persistent estimate store: navigation and
+confirmation estimates alike are journaled here, keyed per backend.
 
 **Record format** (one plain-JSON line, ``crc32``-framed):
 
@@ -19,8 +21,8 @@ plus the substrate's ``journal_snapshot`` records written by
 compaction, whose ``state`` holds the full entry map.
 
 **Write policy.**  Appends are *buffered* and flushed in batch (end of
-an exploration, end of a worker job) under the same flock-guarded
-discipline as the shared estimate cache — ``DurableJournal.append``
+an exploration, end of a worker job) under a
+:class:`~repro.durable.lock.FileLock` — ``DurableJournal.append``
 fsyncs every record, so journaling inline with evaluation would cost
 more than the work the memo saves.  A lost buffer is harmless: memo
 entries are re-learnable, so the journal is best-effort durable where
@@ -52,7 +54,7 @@ from repro.durable.journal import (
     scan_journal,
     segment_paths,
 )
-from repro.service.shared_cache import FileLock
+from repro.durable.lock import FileLock
 
 #: The journal's segment prefix (``memo.jsonl``, ``memo.0001.jsonl``, …).
 MEMO_PREFIX = "memo"

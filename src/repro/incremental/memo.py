@@ -6,8 +6,9 @@ hashing`.  Four domains, each valid across points, runs, and workers
 because the key covers every input:
 
 =============  =============================================================
-``point``      one design point's finished estimate (the whole
-               compile + synthesize pipeline skipped on a hit)
+``point``      one design point's finished estimate on one backend (the
+               whole compile + synthesize pipeline skipped on a hit); the
+               only persistent estimate store
 ``legality``   which nest depths unroll-and-jam may legally touch —
                dependence analysis is factor-independent, so one graph
                build serves every point of a walk
@@ -28,10 +29,10 @@ site degrades to the from-scratch path.
 
 **Equivalence contract.**  A memo hit must be indistinguishable from
 recomputation: keys cover all inputs, the memoized computations are
-deterministic, and values round-trip through the same JSON codecs the
-persistent estimate cache uses.  The property suite
-(``tests/property/test_prop_incremental.py``) pins estimates and
-selections bit-identical for every kernel x strategy combination.
+deterministic, and values round-trip through the JSON codecs below.
+The property suite (``tests/property/test_prop_incremental.py``) pins
+estimates and selections bit-identical for every kernel x strategy
+combination.
 
 **Counters.**  ``incremental.memo.{hits,misses,invalidations}`` and
 ``incremental.delta.reused_regions`` are registered at zero on
@@ -83,6 +84,71 @@ def decode_schedule(entry: dict):
         },
         memory_traffic={int(m): int(c) for m, c in entry["memory_traffic"]},
     )
+
+
+def encode_estimate(estimate) -> dict:
+    """An :class:`~repro.synthesis.estimator.Estimate` as plain JSON-able
+    primitives (the ``point`` domain's value format)."""
+    record = {
+        "cycles": estimate.cycles,
+        "space": estimate.space,
+        "area": estimate.area.as_dict(),
+        "fetch_rate": estimate.fetch_rate,
+        "consumption_rate": estimate.consumption_rate,
+        "balance": estimate.balance,
+        "operator_demand": [
+            [kind, width, count]
+            for (kind, width), count in sorted(estimate.operator_demand.items())
+        ],
+        "memory_traffic": sorted(estimate.memory_traffic.items()),
+        "register_bits": estimate.register_bits,
+        "region_count": estimate.region_count,
+        "clock_ns": estimate.clock_ns,
+    }
+    provenance = estimate.provenance
+    if provenance is not None and hasattr(provenance, "as_dict"):
+        record["provenance"] = provenance.as_dict()
+    return record
+
+
+def decode_estimate(entry: dict):
+    from repro.synthesis.area import AreaBreakdown
+    from repro.synthesis.estimator import Estimate
+    area = entry["area"]
+    provenance = None
+    if isinstance(entry.get("provenance"), dict):
+        from repro.estimate.backends import Provenance
+        provenance = Provenance.from_dict(entry["provenance"])
+    return Estimate(
+        cycles=entry["cycles"],
+        space=entry["space"],
+        area=AreaBreakdown(
+            operators=area["operators"],
+            registers=area["registers"],
+            memory_interface=area["memory_interface"],
+            controller=area["controller"],
+        ),
+        fetch_rate=_inf_ok(entry["fetch_rate"]),
+        consumption_rate=_inf_ok(entry["consumption_rate"]),
+        balance=_inf_ok(entry["balance"]),
+        operator_demand={
+            (kind, width): count
+            for kind, width, count in entry["operator_demand"]
+        },
+        memory_traffic={int(m): count for m, count in entry["memory_traffic"]},
+        register_bits=entry["register_bits"],
+        region_count=entry["region_count"],
+        clock_ns=entry["clock_ns"],
+        provenance=provenance,
+    )
+
+
+def _inf_ok(value) -> float:
+    # json serializes inf as "Infinity", which json.loads parses back to
+    # float('inf') already; this guard covers string-cleaned files.
+    if value in ("inf", "Infinity"):
+        return float("inf")
+    return float(value)
 
 
 class PointStats:

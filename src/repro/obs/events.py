@@ -96,6 +96,8 @@ class BatchStart(EventBase):
     ts: float
     jobs: int
     workers: int
+    #: only in traces recorded before the JSON estimate cache was
+    #: retired (its file path); kept so old run dirs still validate.
     cache: Optional[str] = None
     manifest: Optional[str] = None
     resumed_jobs: int = 0
@@ -131,8 +133,12 @@ class JobFinish(EventBase):
     speedup: Optional[float] = None
     points_searched: Optional[int] = None
     design_space_size: Optional[int] = None
+    #: point-memo hits/misses of the job
+    #: (``incremental.memo.{hits,misses}{domain=point}``).
     cache_hits: Optional[int] = None
     cache_misses: Optional[int] = None
+    #: only in traces recorded before the JSON estimate cache was
+    #: retired; kept so old run dirs still validate.
     cache_evictions: Optional[int] = None
     cache_save_error: Optional[str] = None
     estimator_retries: Optional[int] = None

@@ -7,9 +7,9 @@ format (version 0.0.4) every Prometheus-compatible scraper speaks.
 
 Mapping from the registry's model:
 
-* Instrument names are dotted (``cache.hits``); Prometheus names are
-  underscore-separated with a ``repro_`` namespace prefix
-  (``repro_cache_hits``).
+* Instrument names are dotted (``estimator.retries``); Prometheus names
+  are underscore-separated with a ``repro_`` namespace prefix
+  (``repro_estimator_retries``).
 * The registry keys labelled series canonically as ``name{k=v,...}``;
   that key is parsed back apart and re-rendered with quoted, escaped
   label values.

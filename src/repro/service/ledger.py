@@ -16,7 +16,10 @@ Run directory layout::
       manifest.json    normalized manifest snapshot (paths resolved)
       ledger.jsonl     the journal: run_start, job_attempt, job_done, ...
       trace.jsonl      telemetry (default location; append on resume)
-      estimates.json   shared estimate cache (default location)
+      spans.jsonl      structured trace spans (default location)
+      metrics.json     the merged metrics registry snapshot
+      memo/            the incremental memo journal — the run's estimate
+                       store (default location; resumed runs start warm)
 
 Consistency: ``run_start`` records a fingerprint over every job's
 *spec hash* (the result-determining fields: program, board, search and

@@ -4,13 +4,14 @@ Every notable moment in a batch — submission, per-attempt start/finish,
 retries, pool degradation — is one JSON object on one line of the trace
 file (JSONL), so a run can be tailed live, replayed later, and asserted
 on in tests.  The same events feed an in-memory aggregator whose summary
-(jobs, points synthesized, cache hit/miss totals, wall time per phase)
-renders as a :class:`repro.report.Table` next to the paper's own tables.
+(jobs, points synthesized, point-memo hit/miss totals, wall time per
+phase) renders as a :class:`repro.report.Table` next to the paper's own
+tables.
 
 Event vocabulary:
 
 ===================  ========================================================
-``batch_start``      manifest size, worker count, cache path
+``batch_start``      manifest size, worker count
 ``job_start``        one attempt begins (``attempt`` counts from 1)
 ``job_finish``       attempt succeeded; carries cycles/space/points/cache
                      counters and per-phase wall seconds
@@ -168,10 +169,12 @@ def read_trace(path: Path) -> List[TelemetryEvent]:
 def summarize_events(events: List[TelemetryEvent]) -> Dict[str, Any]:
     """Roll a batch's events up into the metrics the summary table shows.
 
-    ``cache_hits``/``cache_misses`` sum the per-job counters reported by
-    each worker's :class:`EstimateCache`, so the trace totals equal the
-    cache-object totals by construction — the invariant the integration
-    tests pin down.
+    ``cache_hits``/``cache_misses`` sum the per-job point-memo counters
+    (``incremental.memo.{hits,misses}{domain=point}``) each worker
+    reports, so the trace totals equal the merged registry's by
+    construction — the invariant the integration tests pin down.
+    ``cache_evictions`` only appears in traces recorded before the JSON
+    estimate cache was retired; it is still summed so they render.
     """
     summary: Dict[str, Any] = {
         "jobs": 0, "succeeded": 0, "failed": 0, "retries": 0, "attempts": 0,

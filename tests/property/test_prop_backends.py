@@ -99,7 +99,7 @@ def test_interp_vs_analytic_rank_agreement(kernel):
     board = wildstar_pipelined()
     path = search_path(kernel, board, "analytic", steps=6)
     report = validate_run(
-        path, board, ["analytic", "interp"],
+        path, DesignSpace(kernel.program(), board), ["analytic", "interp"],
         samples=len(path), kernel=kernel.name,
     )
     assert report.backends == ("analytic", "interp")

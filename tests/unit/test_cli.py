@@ -174,3 +174,56 @@ class TestTraceDiagnostics:
         err = capsys.readouterr().err
         assert "has no spans.jsonl" in err
         assert len(err.strip().splitlines()) == 1
+
+
+class TestMemoDirOption:
+    """``--cache`` is a second spelling of ``--memo-dir``: the memo
+    journal is the one persistent estimate store."""
+
+    def test_serial_explore_cache_is_the_memo_dir(self, tmp_path, capsys):
+        memo = tmp_path / "memo"
+        runs = []
+        for name in ("cold.json", "warm.json"):
+            assert main(["explore", "kernel:fir", "--cache", str(memo),
+                         "--json", str(tmp_path / name)]) == 0
+            runs.append(json.loads((tmp_path / name).read_text()))
+        out = capsys.readouterr().out
+        cold, warm = runs
+        assert cold["memo"]["entries"]["point"] > 0
+        assert warm["memo"]["misses"] == 0
+        assert warm["memo"]["hits"] == warm["points_searched"]
+        assert "(100%)" in out.strip().splitlines()[-2]
+        assert warm["selected_unroll"] == cold["selected_unroll"]
+        assert warm["cycles"] == cold["cycles"]
+
+    def test_alias_and_long_form_share_one_destination(self):
+        from repro.cli import build_parser
+        parser = build_parser()
+        for verb in (["explore", "kernel:fir"], ["batch", "m.json"],
+                     ["serve", "--state-dir", "s"], ["worker"]):
+            for flag in ("--cache", "--memo-dir"):
+                args = parser.parse_args(verb + [flag, "d"])
+                assert args.memo_dir == "d", (verb, flag)
+
+    @pytest.mark.parametrize("argv", [
+        ["explore", "kernel:fir"],
+        ["explore", "kernel:fir", "--parallel"],
+        ["batch", "MANIFEST"],
+        ["serve", "--state-dir", "STATE", "--port", "0"],
+        ["worker", "--idle-exit", "0"],
+    ], ids=["explore", "explore-parallel", "batch", "serve", "worker"])
+    @pytest.mark.parametrize("flag", ["--memo-dir", "--cache"])
+    def test_regular_file_is_rejected_up_front(self, tmp_path, capsys,
+                                               argv, flag):
+        legacy = tmp_path / "estimates.json"
+        legacy.write_text("{}")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"jobs": [{"program": "kernel:fir"}]}))
+        argv = [str(manifest) if arg == "MANIFEST" else
+                str(tmp_path / "state") if arg == "STATE" else arg
+                for arg in argv]
+        assert main(argv + [flag, str(legacy)]) == 1
+        err = capsys.readouterr().err
+        assert "--memo-dir" in err and "is a file" in err
+        assert legacy.read_text() == "{}"  # neither read nor touched
+        assert not (tmp_path / "state").exists()

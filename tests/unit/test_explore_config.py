@@ -1,9 +1,8 @@
-"""The redesigned single-config call shapes and their deprecation shims.
+"""The single-config call shapes.
 
 ``explore()`` and ``JobSpec.create()`` both take one keyword-only
-``config=`` object; the pre-redesign individual-keyword (and, for
-``explore``, positional) shapes still work but warn — deprecate, don't
-break.
+``config=`` object; any other option keyword, or an extra positional,
+is a ``TypeError``.
 """
 
 import warnings
@@ -30,32 +29,6 @@ class TestExploreConfigShape:
             warnings.simplefilter("error", DeprecationWarning)
             explore(tiny_program, pipelined_board)
 
-    def test_legacy_keyword_warns_but_works(self, tiny_program,
-                                            pipelined_board):
-        with pytest.warns(DeprecationWarning, match="ExploreConfig"):
-            legacy = explore(tiny_program, pipelined_board,
-                             search_options=SearchOptions(max_iterations=4))
-        modern = explore(tiny_program, pipelined_board,
-                         config=ExploreConfig(
-                             search=SearchOptions(max_iterations=4)))
-        assert legacy.selected.unroll == modern.selected.unroll
-        assert legacy.points_searched == modern.points_searched
-
-    def test_legacy_positional_warns_but_works(self, tiny_program,
-                                               pipelined_board):
-        # historical signature: explore(program, board, search_options, ...)
-        with pytest.warns(DeprecationWarning):
-            result = explore(tiny_program, pipelined_board,
-                             SearchOptions(max_iterations=4))
-        assert result.points_searched >= 1
-
-    def test_config_plus_legacy_is_an_error(self, tiny_program,
-                                            pipelined_board):
-        with pytest.raises(TypeError, match="not both"):
-            explore(tiny_program, pipelined_board,
-                    search_options=SearchOptions(),
-                    config=ExploreConfig())
-
     def test_unknown_keyword_is_an_error(self, tiny_program,
                                          pipelined_board):
         with pytest.raises(TypeError, match="unexpected keyword"):
@@ -66,13 +39,6 @@ class TestExploreConfigShape:
         with pytest.raises(TypeError, match="positional"):
             explore(tiny_program, pipelined_board,
                     None, None, None, None, None, None)
-
-    def test_duplicate_positional_and_keyword_is_an_error(
-            self, tiny_program, pipelined_board):
-        with pytest.raises(TypeError, match="multiple values"):
-            explore(tiny_program, pipelined_board, SearchOptions(),
-                    search_options=SearchOptions())
-
 
 class TestJobSpecCreate:
     def test_config_call_does_not_warn(self):
@@ -97,18 +63,6 @@ class TestJobSpecCreate:
             config=JobConfig(search=SearchOptions(max_iterations=8)),
         )
         assert dict(spec.search)["max_iterations"] == 8
-
-    def test_legacy_keywords_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="JobConfig"):
-            spec = JobSpec.create("kernel:fir", board="nonpipelined",
-                                  timeout_s=5.0)
-        assert spec.board == "nonpipelined"
-        assert spec.timeout_s == 5.0
-
-    def test_config_plus_legacy_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            JobSpec.create("kernel:fir", board="pipelined",
-                           config=JobConfig())
 
     def test_unknown_keyword_is_an_error(self):
         with pytest.raises(TypeError, match="unexpected"):

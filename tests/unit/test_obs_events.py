@@ -171,6 +171,19 @@ class TestValidation:
             "unknown event 'nope'"
         ]
 
+    def test_retired_cache_fields_of_old_traces_still_validate(self):
+        """Run dirs recorded with the JSON estimate cache carry fields
+        no longer produced; they must still pass ``--validate``."""
+        start = {"event": "batch_start", "ts": 0.0, "jobs": 1, "workers": 1,
+                 "cache": "run/estimates.json", "schema_version": 1}
+        finish = {"event": "job_finish", "ts": 1.0, "job_id": "a",
+                  "attempt": 1, "cache_hits": 0, "cache_misses": 7,
+                  "cache_evictions": 2, "cache_save_error": None,
+                  "schema_version": 1}
+        for record in (start, finish):
+            assert events.validate_record(record) == []
+            assert events.from_record(record, strict=True).extra == {}
+
     def test_validate_jsonl_prefixes_line_numbers(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         bad = self.good()

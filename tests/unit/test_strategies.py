@@ -182,23 +182,3 @@ class TestFidelitySwitching:
         [switch] = result.fidelity_switches
         assert "confirmation failed" in switch.reason
         assert switch.cycles_after == switch.cycles_before
-
-
-class TestDeprecatedShims:
-    def test_old_names_warn_and_return_search_result(self):
-        from repro.dse import strategies as legacy
-        board = wildstar_pipelined()
-        with pytest.warns(DeprecationWarning, match="points_searched"):
-            shim = legacy.RandomStrategy(samples=4, seed=1)
-        result = shim.run(DesignSpace(FIR.program(), board))
-        assert isinstance(result, SearchResult)
-
-    def test_strategy_result_type_is_gone(self):
-        from repro.dse import strategies as legacy
-        assert not hasattr(legacy, "StrategyResult")
-
-    def test_every_legacy_class_warns(self):
-        from repro.dse import strategies as legacy
-        for cls in legacy.ALL_STRATEGIES:
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                cls()
