@@ -4,7 +4,9 @@
 # lookups from the memo, a "restart" (fresh process, same memo dir)
 # stays warm, and `--no-incremental` still prints no memo line.  Then
 # the same through the server: /metrics exposes the
-# incremental.memo.{hits,misses,invalidations} counters after a job.
+# incremental.memo.{hits,misses,invalidations} counters after a job, and
+# over three distinct jobs the one pool worker replays the memo journal
+# in full once and then only its tail.
 # Run from the repo root: bash scripts/incremental_smoke.sh
 set -euo pipefail
 
@@ -100,6 +102,29 @@ done
 [ -d "$workdir/state/memo" ] \
     || { echo "FAIL: server grew no <state-dir>/memo journal"; exit 1; }
 echo "OK: memo stats in payload, counters in /metrics, journal on disk"
+
+echo "== server: the pool worker keeps its memo and replays only the tail =="
+for args in "kernel:fir --board nonpipelined" "kernel:jac"; do
+  # shellcheck disable=SC2086
+  next_id="$(python -m repro submit $args --server "$SRV" 2>/dev/null | head -1)"
+  python -m repro result "$next_id" --server "$SRV" --wait \
+      --wait-timeout 240 > /dev/null
+done
+curl -fsS "$SRV/metrics" > "$workdir/metrics.txt"
+replays() {
+  # the merged counter for one replay kind (0 when absent)
+  sed -n "s/^repro_incremental_journal_replays{kind=\"$1\"} //p" \
+      "$workdir/metrics.txt" | head -1 | grep . || echo 0
+}
+full="$(replays full)"
+tail_replays="$(replays tail)"
+[ "$full" = "1" ] \
+    || { echo "FAIL: $full full memo replays over 3 jobs (want 1)"; exit 1; }
+[ "$tail_replays" -ge 2 ] \
+    || { echo "FAIL: $tail_replays tail memo replays (want >= 2)"; exit 1; }
+grep -q '^repro_incremental_journal_replayed_records' "$workdir/metrics.txt" \
+    || { echo "FAIL: replayed_records not scrapeable"; exit 1; }
+echo "OK: 3 jobs, $full full replay, $tail_replays tail replays"
 
 kill -TERM "$server_pid"
 wait "$server_pid" || { echo "FAIL: drain failed"; exit 1; }

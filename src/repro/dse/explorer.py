@@ -265,10 +265,9 @@ def explore(
                 stack.enter_context(use_registry(obs.metrics))
         memo = None
         if config.incremental:
-            from repro.incremental.memo import use_memo
+            from repro.incremental import open_memo, release_memo, use_memo
             memo = config.memo
             if memo is None:
-                from repro.incremental.journal import open_memo
                 memo = open_memo(config.memo_dir)
             stack.enter_context(use_memo(memo))
         with current_tracer().span(
@@ -294,6 +293,8 @@ def explore(
                 "invalidations": memo.invalidations,
                 "entries": memo.counts(),
             }
+            if config.memo is None:
+                release_memo(memo)
     if (
         obs is not None
         and obs.enabled

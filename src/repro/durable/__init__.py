@@ -16,9 +16,12 @@ from repro.durable.journal import (
     DamagedRecord,
     DurableJournal,
     JournalScan,
+    JournalTail,
+    SegmentCursor,
     frame_record,
     quarantine_path,
     quarantine_records,
+    read_tail,
     record_crc,
     scan_journal,
     segment_paths,
@@ -45,13 +48,16 @@ __all__ = [
     "FileLock",
     "JournalReport",
     "JournalScan",
+    "JournalTail",
     "RepairReport",
+    "SegmentCursor",
     "discover_journals",
     "frame_record",
     "inspect_journal",
     "inspect_path",
     "quarantine_path",
     "quarantine_records",
+    "read_tail",
     "record_crc",
     "repair_journal",
     "repair_path",

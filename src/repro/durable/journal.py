@@ -46,11 +46,18 @@ the job store quarantines corrupt records to a ``.quarantine`` sidecar
 and keeps replaying; ``repro fsck --repair`` truncates torn tails and
 rewrites clean segments.
 
+**Tail reading.**  :func:`read_tail` reads a chain from a per-segment
+cursor (name, device, inode, bytes consumed, last consumed line), so a
+long-lived reader adopts only what was appended since its last pass and
+learns when the chain was rewritten instead (compaction, repair, a
+deleted and recreated directory).  It splits and verifies lines exactly
+as :func:`scan_journal` does.
+
 Fault sites (see :mod:`repro.faults`): ``disk_full`` fires before every
-append (an ``io_error`` rule turns it into ENOSPC), ``journal_bitflip``
-flips one deterministic bit in the serialized line, ``journal_torn``
-truncates the line mid-record and suppresses the newline — the three
-ways a journal append lies, injectable on demand.
+appended record (an ``io_error`` rule turns it into ENOSPC),
+``journal_bitflip`` flips one deterministic bit in the serialized line,
+``journal_torn`` truncates the line mid-record and suppresses the
+newline — the three ways a journal append lies, injectable on demand.
 """
 
 from __future__ import annotations
@@ -62,7 +69,9 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple,
+)
 
 from repro import faults
 
@@ -243,6 +252,109 @@ def scan_journal(directory: Path, prefix: str) -> JournalScan:
     return scan
 
 
+# -- tail reading -------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SegmentCursor:
+    """How far a reader has consumed one segment file."""
+
+    name: str             # segment file name
+    device: int
+    inode: int
+    offset: int           # bytes consumed; just past a newline, or 0
+    last_line: bytes      # the final consumed line, newline included
+
+
+@dataclass
+class JournalTail:
+    """What one :func:`read_tail` pass found past its cursor."""
+
+    #: ``(record, consumed)`` per non-blank line, in journal order;
+    #: ``record`` is ``None`` for a damaged line (see :func:`verify_line`).
+    #: ``consumed`` is ``False`` for a segment's final line that has no
+    #: newline yet: the cursor stops before it, so the next pass reads it
+    #: again.
+    lines: List[Tuple[Optional[Dict[str, Any]], bool]] = \
+        field(default_factory=list)
+    #: where the next pass starts; ``None`` when a segment could not be
+    #: read, so no later pass can resume from this one
+    cursor: Optional[Tuple[SegmentCursor, ...]] = ()
+    #: the newest segment ends without a newline, so the next append
+    #: lands on that unfinished line
+    open_line: bool = False
+
+    @property
+    def snapshot_seen(self) -> bool:
+        return any(record is not None and record.get("event") == SNAPSHOT_EVENT
+                   for record, _consumed in self.lines)
+
+
+def read_tail(directory: Path, prefix: str,
+              cursor: Tuple[SegmentCursor, ...] = (),
+              parse: bool = True) -> Optional[JournalTail]:
+    """Read what was appended to a journal since ``cursor``.
+
+    With the empty cursor this reads the whole chain.  Lines are split
+    and verified exactly as :func:`scan_journal` does, so a reader that
+    adds up its passes sees the records and damage one scan would.
+    Returns ``None`` when the chain was changed other than by appends:
+    a consumed segment vanished, changed device or inode, or shrank, its
+    last consumed line no longer reads back byte-identical (inode reuse
+    after a delete and recreate), or the segment list no longer starts
+    with the consumed ones.  ``parse=False`` only moves the cursor to
+    the end (for a writer skipping its own appends).
+    """
+    segments = segment_paths(directory, prefix)
+    if [path.name for path in segments[:len(cursor)]] != \
+            [entry.name for entry in cursor]:
+        return None
+    tail = JournalTail()
+    cursors: List[SegmentCursor] = []
+    for index, path in enumerate(segments):
+        previous = cursor[index] if index < len(cursor) else None
+        try:
+            with open(path, "rb") as stream:
+                status = os.fstat(stream.fileno())
+                offset, last = 0, b""
+                if previous is not None:
+                    if ((status.st_dev, status.st_ino)
+                            != (previous.device, previous.inode)
+                            or status.st_size < previous.offset):
+                        return None
+                    offset, last = previous.offset, previous.last_line
+                    stream.seek(offset - len(last))
+                    if stream.read(len(last)) != last:
+                        return None
+                data = stream.read()
+        except OSError:
+            if previous is not None:
+                return None
+            tail.cursor = None
+            continue
+        end = data.rfind(b"\n") + 1
+        tail.open_line = end < len(data)
+        if end:
+            last = data[data.rfind(b"\n", 0, end - 1) + 1:end]
+        if parse:
+            _split_lines(data[:end], True, tail.lines)
+            _split_lines(data[end:], False, tail.lines)
+        cursors.append(SegmentCursor(
+            name=path.name, device=status.st_dev, inode=status.st_ino,
+            offset=offset + end, last_line=last,
+        ))
+    if tail.cursor is not None:
+        tail.cursor = tuple(cursors)
+    return tail
+
+
+def _split_lines(data: bytes, consumed: bool,
+                 out: List[Tuple[Optional[Dict[str, Any]], bool]]) -> None:
+    for line in data.decode("utf-8", "replace").splitlines():
+        stripped = line.strip()
+        if stripped:
+            out.append((verify_line(stripped)[0], consumed))
+
+
 def quarantine_records(directory: Path, prefix: str,
                        damaged: List[DamagedRecord],
                        clock: Callable[[], float] = time.time) -> int:
@@ -299,9 +411,15 @@ class DurableJournal:
     at open time (the legacy base name for a fresh journal).  ``append``
     frames, writes, flushes, and fsyncs one line, rotating first when
     the active segment has outgrown ``max_segment_bytes`` or
-    ``max_segment_age_s``.  OSErrors propagate to the caller — append
-    policy (required vs counted-drop vs read-only degradation) is the
-    owner's concern, not the transport's.
+    ``max_segment_age_s``.  ``append_many`` is the group commit: it
+    frames each record exactly as ``append`` does (same fault sites,
+    consulted once per record, in order; same rotation boundaries) but
+    issues one write and one fsync per segment touched, so the bytes on
+    disk are those of N single appends.  On a failure at record k the
+    records before k are written and fsync'd before the error
+    propagates.  OSErrors propagate to the caller — append policy
+    (required vs counted-drop vs read-only degradation) is the owner's
+    concern, not the transport's.
 
     ``line_filter`` lets an owner keep a legacy mangle site in the write
     path (the run ledger's ``ledger_line``); any filter- or fault-damage
@@ -325,6 +443,8 @@ class DurableJournal:
         self.max_segment_bytes = max(1, int(max_segment_bytes))
         self.max_segment_age_s = max_segment_age_s
         self.damaged_writes = 0
+        #: records written and fsync'd, damaged ones included
+        self.appended_records = 0
         self.rotations = 0
         self.compactions = 0
         self._clock = clock
@@ -380,45 +500,71 @@ class DurableJournal:
         (ENOSPC, EIO, …) and serialization errors propagate — policy
         belongs to the owner.
         """
+        return self.append_many((record,)) > 0
+
+    def append_many(self, records: Iterable[Mapping[str, Any]]) -> int:
+        """Group-commit ``records``; returns how many rotations happened.
+
+        Each record goes through the same steps as in :meth:`append`
+        (``disk_full`` check, rotation check, framing, line filter,
+        ``journal_bitflip`` and ``journal_torn`` mangles), but the lines
+        are buffered and each segment gets one write and one fsync.
+        """
         if self._stream is None:
             raise JournalClosed(f"journal {self.prefix} is closed")
-        faults.check("disk_full", key=self.prefix)
-        rotated = self._maybe_rotate()
+        batch: List[str] = []
+        damaged = 0
+        rotations = 0
+
+        def commit() -> None:
+            nonlocal batch, damaged
+            if batch:
+                self._stream.write("".join(batch))
+                self._stream.flush()
+                os.fsync(self._stream.fileno())
+                self.appended_records += len(batch)
+            hurt, batch, damaged = damaged, [], 0
+            self.damaged_writes += hurt
+            for _ in range(hurt if self._on_damage is not None else 0):
+                self._on_damage()
+
+        try:
+            for record in records:
+                faults.check("disk_full", key=self.prefix)
+                if self._rotation_due():
+                    commit()
+                    self.rotate()
+                    rotations += 1
+                data, hurt = self._render(record)
+                batch.append(data)
+                damaged += hurt
+                self._active_bytes += len(data.encode("utf-8", "replace"))
+        except BaseException:
+            commit()
+            raise
+        commit()
+        return rotations
+
+    def _render(self, record: Mapping[str, Any]) -> Tuple[str, bool]:
+        """One record's bytes as they land, and whether they are damaged."""
         line = frame_record(record)
         written = line
         if self._line_filter is not None:
             written = self._line_filter(written)
         written = faults.mangle("journal_bitflip", written, key=self.prefix)
         torn = faults.mangle("journal_torn", written, key=self.prefix)
-        damaged = torn != line
         if torn != written:
             # A torn write stops mid-record: no newline ever lands.
-            self._write(torn, newline=False)
-        else:
-            self._write(written, newline=True)
-        if damaged:
-            self.damaged_writes += 1
-            if self._on_damage is not None:
-                self._on_damage()
-        return rotated
+            return torn, True
+        return written + "\n", written != line
 
-    def _write(self, text: str, newline: bool) -> None:
-        data = text + ("\n" if newline else "")
-        self._stream.write(data)
-        self._stream.flush()
-        os.fsync(self._stream.fileno())
-        self._active_bytes += len(data.encode("utf-8", "replace"))
-
-    def _maybe_rotate(self) -> bool:
+    def _rotation_due(self) -> bool:
         over_size = self._active_bytes >= self.max_segment_bytes
         over_age = (
             self.max_segment_age_s is not None
             and self._clock() - self._opened_at >= self.max_segment_age_s
         )
-        if not over_size and not over_age:
-            return False
-        self.rotate()
-        return True
+        return over_size or over_age
 
     def rotate(self) -> Path:
         """Close the active segment and start the next numbered one."""
@@ -522,10 +668,13 @@ __all__ = [
     "DurableJournal",
     "JournalClosed",
     "JournalScan",
+    "JournalTail",
+    "SegmentCursor",
     "canonical_json",
     "frame_record",
     "quarantine_path",
     "quarantine_records",
+    "read_tail",
     "record_crc",
     "scan_journal",
     "segment_paths",

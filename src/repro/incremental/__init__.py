@@ -17,7 +17,9 @@ Layout:
   context the pipeline and estimator consult
 * :mod:`~repro.incremental.journal` — the persistent, flock-guarded,
   CRC-framed cross-run memo journal (``memo.jsonl`` segments); its
-  ``point`` domain is the system's one persistent estimate store
+  ``point`` domain is the system's one persistent estimate store, and
+  :func:`open_memo` keeps one process-resident store that later opens
+  bring up to date from the journal's tail
 * :mod:`~repro.incremental.delta` — structural region deltas between
   neighboring points, for the ``dse.point`` span attributes
 """
@@ -44,6 +46,7 @@ from repro.incremental.journal import (
     MEMO_PREFIX,
     MemoJournal,
     open_memo,
+    release_memo,
 )
 
 __all__ = [
@@ -64,6 +67,7 @@ __all__ = [
     "program_hash",
     "region_delta",
     "region_fingerprint",
+    "release_memo",
     "schedule_context",
     "use_memo",
 ]

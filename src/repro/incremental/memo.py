@@ -172,11 +172,22 @@ class MemoStore:
     """
 
     def __init__(self) -> None:
-        self._points: Dict[str, dict] = {}
-        self._legality: Dict[str, Tuple[int, ...]] = {}
-        self._verified: Set[str] = set()
-        self._schedules: Dict[str, dict] = {}
         self._journal = None
+        self.begin_session(clear=True)
+
+    def begin_session(self, clear: bool = False) -> None:
+        """Start counting afresh, as a newly constructed store does.
+
+        A journal-backed store kept between walks (see
+        :func:`repro.incremental.journal.open_memo`) keeps its entries
+        (``clear=False``) but must report each walk's own hits, misses
+        and invalidations.
+        """
+        if clear:
+            self._points: Dict[str, dict] = {}
+            self._legality: Dict[str, Tuple[int, ...]] = {}
+            self._verified: Set[str] = set()
+            self._schedules: Dict[str, dict] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0

@@ -219,6 +219,25 @@ def incremental_summary(spans: List[Span]) -> List[str]:
     return lines
 
 
+def memo_journal_summary(metrics: Optional[Dict[str, Any]]) -> List[str]:
+    """Memo-journal replay work from the run's persisted counters.
+
+    ``incremental.journal.replays{kind=full|tail}`` counts the opens
+    that replayed the whole journal and those that read only its tail
+    (a worker's resident memo); ``incremental.journal.replayed_records``
+    counts the records those replays read.  Runs without the counters
+    get no section (returns ``[]``).
+    """
+    counters = (metrics or {}).get("counters") or {}
+    full = counters.get("incremental.journal.replays{kind=full}")
+    tail = counters.get("incremental.journal.replays{kind=tail}")
+    if full is None and tail is None:
+        return []
+    records = counters.get("incremental.journal.replayed_records", 0)
+    return [f"  {int(full or 0)} full replays, {int(tail or 0)} tail "
+            f"replays, {int(records)} records replayed"]
+
+
 # -- fraction-searched summary ------------------------------------------------
 
 def fraction_summary(events: List[obs_events.EventBase]) -> List[str]:
@@ -298,6 +317,12 @@ def render_report(obs: RunObservations) -> str:
         sections.append("incremental reuse")
         sections.append("")
         sections.extend(reuse)
+    replays = memo_journal_summary(obs.metrics)
+    if replays:
+        sections.append("")
+        sections.append("memo journal")
+        sections.append("")
+        sections.extend(replays)
     sections.append("")
     sections.append("fraction searched")
     sections.append("")

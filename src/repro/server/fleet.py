@@ -230,7 +230,7 @@ def execute_shard(payload: Mapping[str, Any]) -> Dict[str, Any]:
             # their points; with a memo_dir, across shards and runs too.
             from pathlib import Path
             from repro.incremental import use_memo
-            from repro.incremental.journal import open_memo
+            from repro.incremental.journal import open_memo, release_memo
             memo_dir = runtime.get("memo_dir")
             memo = open_memo(Path(memo_dir) if memo_dir else None)
             stack.enter_context(use_memo(memo))
@@ -262,6 +262,7 @@ def execute_shard(payload: Mapping[str, Any]) -> Dict[str, Any]:
             "invalidations": memo.invalidations,
         }
         memo.flush()
+        release_memo(memo)
     return out
 
 

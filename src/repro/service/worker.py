@@ -19,10 +19,13 @@ Robustness discipline inside the worker:
   chaos suite drives this exact code path.
 
 Estimates persist in the incremental memo (:mod:`repro.incremental`):
-with a ``memo_dir`` in the runtime map, each job replays the shared
-memo journal and flushes what it learned before returning, so estimates
-learned by one job are visible to jobs scheduled later.  A failed
-journal write degrades to counted invalidations, never a failed job.
+with a ``memo_dir`` in the runtime map, a worker process's first job
+replays the shared memo journal, and its later jobs keep that store and
+read only the journal's tail (what any process appended since); each
+job flushes what it learned before returning, so estimates learned by
+one job are visible to jobs scheduled later.  A failed journal write
+degrades to counted invalidations, never a failed job (and makes the
+next job replay in full).
 """
 
 from __future__ import annotations

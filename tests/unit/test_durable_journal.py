@@ -273,3 +273,119 @@ class TestFaultSites:
         journal.append({"event": "a"})
         journal.close()
         assert drops == [1]
+
+
+GROUP_SPECS = {
+    "clean": [],
+    "bitflip": [{"site": "journal_bitflip", "mode": "bitflip", "p": 0.3}],
+    "torn": [{"site": "journal_torn", "mode": "corrupt", "p": 0.2}],
+    "disk_full": [{"site": "disk_full", "mode": "io_error", "p": 0.1}],
+    "mixed": [
+        {"site": "journal_bitflip", "mode": "bitflip", "p": 0.2},
+        {"site": "journal_torn", "mode": "corrupt", "p": 0.1},
+        {"site": "disk_full", "mode": "io_error", "p": 0.05},
+    ],
+}
+
+
+class TestGroupCommit:
+    """``append_many`` of N records leaves exactly what N ``append``
+    calls leave — lines, segment files, damage count — under every
+    fault spec, because each record takes the same path."""
+
+    RECORDS = [{"event": "memo_entry", "n": index, "pad": "x" * (index % 7)}
+               for index in range(60)]
+
+    def _run(self, directory, spec_rules, grouped):
+        spec = directory.parent / f"{directory.name}.spec.json"
+        spec.write_text(json.dumps({"seed": 5, "faults": spec_rules}))
+        faults.activate(str(spec))
+        drops = []
+        journal = DurableJournal(directory, "memo", max_segment_bytes=400,
+                                 on_damage=lambda: drops.append(1))
+        journal.open()
+        failed = None
+        try:
+            if grouped:
+                journal.append_many(self.RECORDS)
+            else:
+                for record in self.RECORDS:
+                    journal.append(record)
+        except OSError as error:
+            failed = error.errno
+        finally:
+            journal.close()
+            faults.deactivate()
+        files = {path.name: path.read_bytes()
+                 for path in segment_paths(directory, "memo")}
+        return files, journal.damaged_writes, len(drops), failed
+
+    @pytest.mark.parametrize("name", sorted(GROUP_SPECS))
+    def test_same_bytes_as_single_appends(self, tmp_path, name):
+        single = self._run(tmp_path / "single", GROUP_SPECS[name], False)
+        grouped = self._run(tmp_path / "grouped", GROUP_SPECS[name], True)
+        assert grouped == single
+        files, damaged, drops, _ = grouped
+        assert len(files) > 1  # the batch crossed rotation boundaries
+        assert drops == damaged
+        if name in ("bitflip", "torn", "mixed"):
+            assert damaged > 0
+
+    def test_one_fsync_per_segment_touched(self, tmp_path, monkeypatch):
+        import os
+        calls = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(fd),
+                                                     real(fd)))
+        journal = DurableJournal(tmp_path, "memo", max_segment_bytes=400)
+        journal.open()
+        rotations = journal.append_many(self.RECORDS)
+        journal.close()
+        assert rotations == len(segment_paths(tmp_path, "memo")) - 1
+        assert len(calls) == rotations + 1
+        assert journal.appended_records == len(self.RECORDS)
+
+    def test_records_before_a_fault_are_durable(self, tmp_path,
+                                                monkeypatch):
+        import errno
+        import os
+        consulted, synced = [], []
+
+        def check(site, key=None):
+            consulted.append(site)
+            if len(consulted) == 3:
+                raise OSError(errno.ENOSPC, "injected")
+
+        real = os.fsync
+        monkeypatch.setattr(faults, "check", check)
+        monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd),
+                                                     real(fd)))
+        journal = open_journal(tmp_path)
+        with pytest.raises(OSError):
+            journal.append_many([{"event": name} for name in "abcd"])
+        journal.close()
+        assert consulted == ["disk_full"] * 3
+        assert journal.appended_records == 2
+        assert len(synced) == 1
+        assert [r["event"] for r in scan_journal(tmp_path, "jobs")
+                .records] == ["a", "b"]
+
+    def test_torn_batch_scans_as_torn_tail_and_repairs(self, tmp_path):
+        from repro.durable.fsck import inspect_path, repair_path
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"faults": [
+            {"site": "journal_torn", "mode": "corrupt", "max_hits": 1},
+        ]}))
+        directory = tmp_path / "run"
+        journal = DurableJournal(directory, "memo")
+        journal.open()
+        journal.append_many([{"event": "a"}, {"event": "b"}])
+        faults.activate(str(spec))
+        journal.append_many([{"event": "c"}])
+        journal.close()
+        faults.deactivate()
+        scan = scan_journal(directory, "memo")
+        assert scan.torn_tail is not None and not scan.corrupt
+        repair_path(directory)
+        (report,) = inspect_path(directory)
+        assert report.clean

@@ -218,3 +218,19 @@ class TestOnDiskRun:
                      "histograms": {}}
         (tmp_path / "metrics.json").write_text(json.dumps(persisted))
         assert export_metrics(load_run(tmp_path)) == persisted
+
+    def test_memo_journal_section_from_persisted_counters(self, tmp_path):
+        write_run_dir(tmp_path)
+        persisted = {"counters": {
+            "incremental.journal.replays{kind=full}": 1,
+            "incremental.journal.replays{kind=tail}": 4,
+            "incremental.journal.replayed_records": 312,
+        }, "gauges": {}, "histograms": {}}
+        (tmp_path / "metrics.json").write_text(json.dumps(persisted))
+        report = render_report(load_run(tmp_path))
+        assert "memo journal\n\n  1 full replays, 4 tail replays, " \
+               "312 records replayed" in report
+
+    def test_no_memo_journal_section_without_counters(self, tmp_path):
+        write_run_dir(tmp_path)
+        assert "memo journal" not in render_report(load_run(tmp_path))
